@@ -60,6 +60,7 @@ class BehaviorMonitor:
     def __init__(self, config: SimConfig, num_threads: int):
         self.config = config
         self.num_threads = num_threads
+        self._banks_per_channel = config.banks_per_channel
         nch = config.num_channels
         # per-channel service cycles: [channel][thread]
         self.service_cycles: List[List[int]] = [
@@ -129,20 +130,22 @@ class BehaviorMonitor:
         """Track shadow row-buffer and BLP at request arrival."""
         tid = request.thread_id
         ch = request.channel_id
+        bank_id = request.bank_id
+        row = request.row
         shadow = self._shadow_rows[ch][tid]
-        prev = shadow.get(request.bank_id)
         self.shadow_accesses[ch][tid] += 1
         self.lifetime_shadow_accesses[tid] += 1
-        if prev == request.row:
+        if shadow.get(bank_id) == row:
             self.shadow_hits[ch][tid] += 1
             self.lifetime_shadow_hits[tid] += 1
-        shadow[request.bank_id] = request.row
+        shadow[bank_id] = row
 
         self._advance_blp(tid, now)
-        gbank = ch * self.config.banks_per_channel + request.bank_id
+        gbank = ch * self._banks_per_channel + bank_id
         counts = self._bank_outstanding[tid]
-        counts[gbank] = counts.get(gbank, 0) + 1
-        if counts[gbank] == 1:
+        count = counts.get(gbank, 0) + 1
+        counts[gbank] = count
+        if count == 1:
             self._active_banks[tid] += 1
         self._outstanding[tid] += 1
 
@@ -158,12 +161,12 @@ class BehaviorMonitor:
         """Track BLP at request completion."""
         tid = request.thread_id
         self._advance_blp(tid, now)
-        gbank = (
-            request.channel_id * self.config.banks_per_channel + request.bank_id
-        )
+        gbank = request.channel_id * self._banks_per_channel + request.bank_id
         counts = self._bank_outstanding[tid]
-        counts[gbank] -= 1
-        if counts[gbank] == 0:
+        count = counts[gbank] - 1
+        if count:
+            counts[gbank] = count
+        else:
             del counts[gbank]
             self._active_banks[tid] -= 1
         self._outstanding[tid] -= 1

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.config import SimConfig
 from repro.cpu.stats import ThreadStats
+from repro.engine.rng import BufferedUniform
 from repro.workloads.spec import BenchmarkSpec
 from repro.workloads.synthetic import AddressStream
 
@@ -81,7 +82,11 @@ class ThreadModel:
         # core it lands on (and its alone run sees the same behaviour).
         if stream is None:
             stream = thread_id
-        self._rng = np.random.default_rng((seed, stream, 0x7E))
+        # Issue-gap jitter is the only use of this generator, so its
+        # uniform(0.9, 1.1) draws come pre-drawn in blocks.
+        self._jitter = BufferedUniform(
+            np.random.default_rng((seed, stream, 0x7E)), 0.9, 1.1
+        )
         # Phases get their own rng: phase boundaries are wall-clock
         # events, so alone and shared runs of the same benchmark see
         # the same phase sequence regardless of how many misses each
@@ -90,6 +95,8 @@ class ThreadModel:
         self._addr = AddressStream(
             spec, config, np.random.default_rng((seed, stream, 0xAD))
         )
+        self._ipc_peak = config.ipc_peak
+        self._phase_mean = config.phase_mean_cycles
         self.instrs_per_miss = 1000.0 / spec.mpki
         self.window_blocked = False
         self.issued = 0
@@ -136,10 +143,9 @@ class ThreadModel:
             ),
         )
 
-    def _maybe_change_phase(self, now: int) -> None:
-        mean = self.config.phase_mean_cycles
-        if mean <= 0 or now < self._phase_end:
-            return
+    def _change_phase(self, now: int) -> None:
+        """Draw the next program phase; due when ``now >= _phase_end``."""
+        mean = self._phase_mean
         self.phase_multiplier = float(self._phase_rng.choice((0.5, 1.0, 2.0)))
         self._current_ipm = self.instrs_per_miss / self.phase_multiplier
         self.max_outstanding = self._window_limit()
@@ -162,13 +168,16 @@ class ThreadModel:
         retirement will retry).  The issue id of the new miss is
         ``self.issued`` after this call returns (ids are 1-based).
         """
-        self._maybe_change_phase(now)
-        if len(self._rob) >= self.max_outstanding:
+        if self._phase_mean > 0 and now >= self._phase_end:
+            self._change_phase(now)
+        rob = self._rob
+        if len(rob) >= self.max_outstanding:
             self.window_blocked = True
             return None
         self.window_blocked = False
-        self.issued += 1
-        self._rob.append((self.issued, self._pending_credit))
+        issued = self.issued + 1
+        self.issued = issued
+        rob.append((issued, self._pending_credit))
         self._last_issue_time = now
         return self._addr.next_location()
 
@@ -180,14 +189,17 @@ class ThreadModel:
         miss's retirement credit from the same draw keeps measured IPC
         bounded by the issue width under jitter and phase changes.
         """
-        gap = self._current_ipm / self.config.ipc_peak
-        gap *= float(self._rng.uniform(0.9, 1.1))
+        ipc_peak = self._ipc_peak
+        gap = self._current_ipm / ipc_peak
+        gap *= self._jitter.next()
         # carry the fractional cycles over so that short gaps (intense
         # threads) do not truncate towards higher miss rates
         gap += self._gap_carry
-        cycles = max(1, int(gap))
+        cycles = int(gap)
+        if cycles < 1:
+            cycles = 1
         self._gap_carry = gap - cycles
-        self._pending_credit = cycles * self.config.ipc_peak
+        self._pending_credit = cycles * ipc_peak
         self.program_time += cycles
         return cycles
 
@@ -205,25 +217,29 @@ class ThreadModel:
         Returns True when the window had been blocked and at least one
         slot was freed (the system must retry :meth:`try_issue` now).
         """
-        if not self._rob:
+        rob = self._rob
+        if not rob:
             raise RuntimeError(
                 f"thread {self.thread_id} completion with no outstanding misses"
             )
-        self._completed.add(issue_id)
-        freed = 0
-        while self._rob and self._rob[0][0] in self._completed:
-            head_id, head_credit = self._rob.popleft()
-            self._completed.discard(head_id)
-            freed += 1
+        completed = self._completed
+        completed.add(issue_id)
+        if rob[0][0] not in completed:
+            return False
+        credit = self._instr_credit
+        retire = self.stats.retire
+        while rob and rob[0][0] in completed:
+            head_id, head_credit = rob.popleft()
+            completed.discard(head_id)
             # Retire the instructions behind the miss; accumulate the
             # fractional part so long-run MPKI matches the spec exactly.
-            self._instr_credit += head_credit
-            instrs = int(self._instr_credit)
-            self._instr_credit -= instrs
-            self.stats.retire(instrs, 1)
-        was_blocked = self.window_blocked and freed > 0
-        if freed:
-            self.window_blocked = False
+            credit += head_credit
+            instrs = int(credit)
+            credit -= instrs
+            retire(instrs, 1)
+        self._instr_credit = credit
+        was_blocked = self.window_blocked
+        self.window_blocked = False
         return was_blocked
 
     def finalize(self, now: int) -> None:
@@ -233,7 +249,12 @@ class ThreadModel:
         completions; without this, up to one full inter-miss chunk of
         instructions (e.g. 100k instructions for a 0.01-MPKI thread) is
         dropped at the end of the run, quantising the measured IPC.
+
+        Also releases the pre-drawn random numbers, which a finished
+        run no longer needs (the streams' positions are kept).
         """
+        self._jitter.release()
+        self._addr.release()
         if self._rob:
             return  # stalled on memory, no unaccounted compute
         elapsed = max(0, now - self._last_issue_time)

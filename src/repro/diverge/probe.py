@@ -22,11 +22,12 @@ decisions, and hash each component into a short fingerprint:
     ``(head, length, bitmask, credit ring)`` map to the same
     ``(head, credits, completed offsets)`` triple.
 ``rng``
-    Logical RNG cursors.  Raw generators are captured as PCG64 state
-    words; block-buffered façades (:mod:`repro.engine.rng`) cannot be
-    compared that way — their underlying generator sits whole blocks
-    ahead — so buffered and scalar streams are both canonicalised as
-    *the next few draws*, peeked from a clone without consuming the
+    Logical RNG cursors.  Raw generators (phase, writeback) are
+    captured as PCG64 state words; the block-buffered jitter and
+    address streams (:mod:`repro.engine.rng`) cannot be compared that
+    way — their underlying generator sits up to a block ahead, by an
+    amount that depends on the block size — so they are canonicalised
+    as *the next few draws*, peeked from a clone without consuming the
     stream.
 ``monitor``
     The behaviour monitor's shadow row-buffers, outstanding/BLP
@@ -183,8 +184,6 @@ def _stats_snapshot(stats) -> dict:
 
 
 def _addr_snapshot(addr) -> dict:
-    # field names are shared by the reference AddressStream and the
-    # fast FastAddressStream by construction
     return {
         "base": addr._base,
         "pos": addr._pos,
@@ -286,25 +285,11 @@ def _generator_cursor(generator: np.random.Generator) -> dict:
 
 
 def _peek_words(source) -> dict:
-    """A bit-stream cursor as content: the half-word bank plus the next
-    :data:`PEEK_DRAWS` raw 64-bit words, peeked without consuming.
-
-    Works for a raw ``numpy.random.Generator`` and for
-    :class:`~repro.engine.rng.BufferedPCG64` — at the same logical
-    position both produce the same words, even though the buffered
-    façade's underlying generator sits a pre-fetched block ahead.
+    """A :class:`~repro.engine.rng.BufferedPCG64` cursor as content: the
+    half-word bank plus the next :data:`PEEK_DRAWS` raw 64-bit words,
+    peeked without consuming (the remaining buffer words first, then
+    the wrapped generator, whose position is exactly the buffer's end).
     """
-    if isinstance(source, np.random.Generator):
-        state = source.bit_generator.state
-        has32 = int(state["has_uint32"])
-        half = int(state["uinteger"]) if has32 else 0
-        clone = _clone_generator(source)
-        words = clone.integers(
-            0, 1 << 64, size=PEEK_DRAWS, dtype=np.uint64
-        ).tolist()
-        return {"has_uint32": has32, "half": half, "words": words}
-    # BufferedPCG64: remaining buffer words first, then the wrapped
-    # generator (whose position is exactly the buffer's end)
     has32 = int(source._has32)
     half = int(source._half) if has32 else 0
     words = list(source._buf[source._i:source._n])
@@ -318,13 +303,9 @@ def _peek_words(source) -> dict:
     return {"has_uint32": has32, "half": half, "words": words[:PEEK_DRAWS]}
 
 
-def _peek_uniforms(source, low: float = 0.9, high: float = 1.1) -> list:
-    """The next :data:`PEEK_DRAWS` ``uniform(low, high)`` draws, peeked
-    from a clone — canonical across a scalar generator and a
-    :class:`~repro.engine.rng.BufferedUniform` block stream."""
-    if isinstance(source, np.random.Generator):
-        clone = _clone_generator(source)
-        return clone.uniform(low, high, size=PEEK_DRAWS).tolist()
+def _peek_uniforms(source) -> list:
+    """The next :data:`PEEK_DRAWS` draws of a
+    :class:`~repro.engine.rng.BufferedUniform`, peeked from a clone."""
     draws = list(source._buf[source._i:source._n])
     missing = PEEK_DRAWS - len(draws)
     if missing > 0:
@@ -343,7 +324,7 @@ def snapshot_rng(system) -> dict:
     if batch is None:
         for thread in system.threads:
             threads.append({
-                "jitter": _peek_uniforms(thread._rng),
+                "jitter": _peek_uniforms(thread._jitter),
                 "phase": _generator_cursor(thread._phase_rng),
                 "addr": _peek_words(thread._addr._rng),
             })

@@ -79,56 +79,57 @@ class Bank:
         carries ``row_blocker`` — the thread whose open row forced the
         precharge — and the bank remembers the new row's owner.
         """
-        if not self.is_idle(now):
+        if now < self.busy_until:
             raise RuntimeError(
                 f"bank ch{self.channel_id}/b{self.bank_id} busy until "
                 f"{self.busy_until}, access attempted at {now}"
             )
         t = self.timings
-        kind = self.classify(row)
-        row_blocker = self.open_row_owner if kind == "conflict" else None
+        open_row = self.open_row
+        row_blocker = None
         activate_time = None
-        if kind == "hit":
+        if open_row == row:
+            kind = "hit"
             prep_done = now
+            self.row_hits += 1
         else:
-            if kind == "conflict":
+            if open_row is None:
+                kind = "closed"
+                activate_time = now
+                self.row_closed += 1
+            else:
+                kind = "conflict"
+                row_blocker = self.open_row_owner
                 precharge_start = now
                 if t.detailed:
-                    precharge_start = max(
-                        precharge_start, self.last_activate + t.t_ras
-                    )
-                ready_for_activate = precharge_start + t.t_rp
-            else:
-                ready_for_activate = now
-            activate_time = max(ready_for_activate, activate_not_before)
+                    earliest = self.last_activate + t.t_ras
+                    if earliest > precharge_start:
+                        precharge_start = earliest
+                activate_time = precharge_start + t.t_rp
+                self.row_conflicts += 1
+            if activate_not_before > activate_time:
+                activate_time = activate_not_before
             if t.detailed:
-                activate_time = max(
-                    activate_time, self.last_activate + t.t_rc
-                )
+                earliest = self.last_activate + t.t_rc
+                if earliest > activate_time:
+                    activate_time = earliest
             self.last_activate = activate_time
             prep_done = activate_time + t.t_rcd
-        data_start = max(prep_done, bus_free_until)
+        data_start = prep_done if prep_done >= bus_free_until else bus_free_until
         data_end = data_start + t.burst
         # closed-page policy auto-precharges: nothing stays latched, so
         # the next access is always a "closed" activate (never a
         # conflict, never a hit)
-        self.open_row = None if t.page_policy == "closed" else row
-        self.open_row_owner = None if t.page_policy == "closed" else thread_id
+        if t.page_policy == "closed":
+            self.open_row = None
+            self.open_row_owner = None
+        else:
+            self.open_row = row
+            self.open_row_owner = thread_id
         self.busy_until = data_end
         self.busy_cycles += data_end - now
-        if kind == "hit":
-            self.row_hits += 1
-        elif kind == "conflict":
-            self.row_conflicts += 1
-        else:
-            self.row_closed += 1
         return BankAccess(
-            kind=kind,
-            data_start=data_start,
-            data_end=data_end,
-            activate_time=activate_time,
-            prep_done=prep_done,
-            row_blocker=row_blocker,
+            kind, data_start, data_end, activate_time, prep_done, row_blocker
         )
 
     def reset_stats(self) -> None:

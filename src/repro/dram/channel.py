@@ -155,7 +155,14 @@ class Channel:
         and stamps service timing onto the request.
         """
         queue = self.queues[request.bank_id]
-        queue.remove(request)
+        # by identity: ``list.remove`` would compare requests field by
+        # field through the dataclass ``__eq__``
+        for index, queued in enumerate(queue):
+            if queued is request:
+                del queue[index]
+                break
+        else:
+            raise ValueError(f"{request!r} is not queued at its bank")
         access = self._begin_access(request.bank_id, request.row, now,
                                     request.thread_id)
         request.start_service = now

@@ -5,15 +5,19 @@ The simulation core has two interchangeable engines selected by
 environment variable):
 
 * ``reference`` — the original engine: per-thread
-  :class:`~repro.cpu.thread.ThreadModel` objects, scalar numpy RNG
-  draws, and a ``heapq`` event loop.  This is the semantic ground
-  truth; every golden fingerprint was minted on it.
+  :class:`~repro.cpu.thread.ThreadModel` objects and a ``heapq`` event
+  loop.  This is the semantic ground truth; every golden fingerprint
+  was minted on it.
 * ``fast`` — this package: the per-thread CPU sliding-window model
   restructured into struct-of-arrays batch form
-  (:mod:`repro.engine.cpu`) fed by block-buffered, bit-exact PCG64
-  draws (:mod:`repro.engine.rng`), and the event heap replaced by a
-  bucketed timing wheel (:mod:`repro.engine.wheel`) whose pop order
-  reproduces the heap's ``(time, seq)`` tie-break exactly.
+  (:mod:`repro.engine.cpu`), and the event heap replaced by a bucketed
+  timing wheel (:mod:`repro.engine.wheel`) whose pop order reproduces
+  the heap's ``(time, seq)`` tie-break exactly.
+
+Both backends draw the per-thread jitter and address streams through
+the block-buffered, bit-exact PCG64 façades of
+:mod:`repro.engine.rng`, which hand out the very values scalar
+``numpy.random.Generator`` calls would.
 
 The two backends are **bit-identical by contract**: identical
 :class:`~repro.sim.results.RunResult`, telemetry counters and span

@@ -2,19 +2,20 @@
 
 The reference :class:`~repro.cpu.thread.ThreadModel` keeps each
 hardware context's sliding-window state in its own object (a deque of
-``(issue id, credit)`` pairs, a completed-id set) and draws its RNG
-one scalar numpy call at a time.  This module restructures that state
-into one :class:`CpuBatch` holding **parallel arrays indexed by
-thread id** — the MLP window as flat credit/mask arrays, issue and
-retire bookkeeping as columns — and feeds it from block-buffered
-bit-exact RNG streams (:mod:`repro.engine.rng`):
+``(issue id, credit)`` pairs, a completed-id set).  This module
+restructures that state into one :class:`CpuBatch` holding **parallel
+arrays indexed by thread id** — the MLP window as flat credit/mask
+arrays, issue and retire bookkeeping as columns — fed, like the
+reference, from block-buffered bit-exact RNG streams
+(:mod:`repro.engine.rng`):
 
 * the issue-gap jitter stream is pre-drawn in vectorized
   ``uniform(0.9, 1.1)`` blocks (numpy fills a batch from the same bit
   stream as sequential scalar calls);
-* the address stream's interleaved ``random()`` / ``integers(n)``
-  draws come from a :class:`~repro.engine.rng.BufferedPCG64` over raw
-  64-bit blocks.
+* the address stream is the reference
+  :class:`~repro.workloads.synthetic.AddressStream`, whose
+  interleaved ``random()`` / ``integers(n)`` draws already come from
+  a :class:`~repro.engine.rng.BufferedPCG64` over raw 64-bit blocks.
 
 Because issue ids are consecutive per thread, the reference's
 ``(deque of ids, completed set)`` collapses into a head id, a length,
@@ -43,101 +44,9 @@ import numpy as np
 from repro.config import SimConfig
 from repro.cpu.stats import ThreadStats
 from repro.cpu.thread import MAX_OUTSTANDING_MISSES
-from repro.engine.rng import BufferedPCG64, BufferedUniform
+from repro.engine.rng import BufferedUniform
 from repro.workloads.spec import BenchmarkSpec
-
-
-class FastAddressStream:
-    """Bit-exact :class:`~repro.workloads.synthetic.AddressStream` on
-    a buffered PCG64 stream.
-
-    Same draw sequence, same arithmetic; only the scalar numpy call
-    overhead is gone.
-    """
-
-    __slots__ = (
-        "spec", "config", "_rng", "_window", "_base", "_reuse_prob",
-        "_last_row", "_spread", "_pos", "accesses", "row_reuses",
-        "drifts", "_num_banks", "_num_rows", "_banks_per_channel",
-        "_spread_lo", "_spread_hi", "_spread_frac",
-    )
-
-    def __init__(
-        self,
-        spec: BenchmarkSpec,
-        config: SimConfig,
-        rng: np.random.Generator,
-    ):
-        import math
-
-        self.spec = spec
-        self.config = config
-        self._rng = BufferedPCG64(rng)
-        num_banks = config.num_banks
-        self._num_banks = num_banks
-        self._num_rows = config.num_rows
-        self._banks_per_channel = config.banks_per_channel
-        self._window = min(num_banks, max(1, math.ceil(spec.blp)))
-        self._base = self._rng.integers(num_banks)
-        self._reuse_prob = 2.0 * spec.rbl / (1.0 + spec.rbl)
-        self._last_row = {}
-        # spread sampling constants (reference recomputes them per
-        # call from the same immutable spec; hoisted here)
-        target = min(spec.blp, float(self._window))
-        target = max(1.0, target)
-        self._spread_lo = math.floor(target)
-        self._spread_hi = math.ceil(target)
-        self._spread_frac = target - self._spread_lo
-        self._spread = self._sample_spread()
-        self._pos = 0
-        self.accesses = 0
-        self.row_reuses = 0
-        self.drifts = 0
-
-    def _sample_spread(self) -> int:
-        if self._spread_lo == self._spread_hi:
-            return self._spread_lo
-        return (
-            self._spread_hi
-            if self._rng.random() < self._spread_frac
-            else self._spread_lo
-        )
-
-    def next_location(self) -> Tuple[int, int, int]:
-        """DRAM target of the thread's next cache miss."""
-        if self._pos >= self._spread:
-            self._pos = 0
-            self._spread = self._sample_spread()
-        gbank = (self._base + self._pos) % self._num_banks
-        self._pos += 1
-        # inline of the reference _row_for + _drift
-        self.accesses += 1
-        last_row = self._last_row
-        last = last_row.get(gbank)
-        if last is None:
-            row = self._rng.integers(self._num_rows)
-            last_row[gbank] = row
-        elif self._rng.random() < self._reuse_prob:
-            self.row_reuses += 1
-            row = last
-        else:
-            row = (last + 1) % self._num_rows
-            last_row[gbank] = row
-            # row exhausted: the bank window drifts by one
-            last_row.pop(self._base, None)
-            self._base = (self._base + 1) % self._num_banks
-            self.drifts += 1
-        return (
-            gbank // self._banks_per_channel,
-            gbank % self._banks_per_channel,
-            row,
-        )
-
-    @property
-    def measured_reuse_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.row_reuses / self.accesses
+from repro.workloads.synthetic import AddressStream
 
 
 class CpuBatch:
@@ -217,7 +126,7 @@ class CpuBatch:
             for stream in streams
         ]
         self.addr = [
-            FastAddressStream(
+            AddressStream(
                 spec, config, np.random.default_rng((seed, stream, 0xAD))
             )
             for spec, stream in zip(specs, streams)
@@ -314,6 +223,8 @@ class CpuBatch:
         return was_blocked
 
     def finalize(self, tid: int, now: int) -> None:
+        self.jitter[tid].release()
+        self.addr[tid].release()
         if self.rob_len[tid]:
             return
         elapsed = now - self.last_issue_time[tid]

@@ -1,17 +1,18 @@
 """Block-buffered, bit-exact reimplementation of the numpy draws the
 simulator makes on its hot path.
 
-The reference engine draws one value at a time from
+The CPU model draws about 2.5 values per simulated miss from
 ``numpy.random.Generator`` (``random()``, ``integers(n)``,
 ``uniform(a, b)``).  Each scalar call costs ~0.5–1.5 µs of argument
-parsing and C dispatch — the dominant cost of the CPU model at ~2.5
-draws per simulated miss.  :class:`BufferedPCG64` removes that cost
-while producing the **same bit stream**:
+parsing and C dispatch.  :class:`BufferedPCG64` and
+:class:`BufferedUniform` remove that cost while producing the **same
+bit stream**; both engine backends draw through them:
 
 * raw 64-bit words are pulled from the *same* PCG64 generator in
-  blocks via ``Generator.integers(0, 2**64, dtype=uint64, size=N)``,
-  which consumes the underlying bit stream exactly like ``N``
-  sequential ``next_uint64`` calls;
+  blocks via ``bit_generator.random_raw(N)``, which consumes the
+  underlying bit stream exactly like ``N`` sequential ``next_uint64``
+  calls (and like ``integers(0, 2**64, dtype=uint64, size=N)``, at a
+  third of its call overhead);
 * ``random()`` is numpy's double conversion, ``(u64 >> 11) * 2**-53``;
 * ``integers(n)`` is numpy's Lemire rejection sampler, including the
   32-bit fast path for ranges below ``2**32`` *and* PCG64's
@@ -22,18 +23,22 @@ while producing the **same bit stream**:
 
 Bit-exactness against scalar numpy is asserted by
 ``tests/engine/test_rng.py`` over interleaved call patterns, and —
-transitively — by every cross-backend parity test: a single divergent
-draw would cascade into a fingerprint mismatch within one quantum.
+transitively — by the golden matrix, minted while the reference engine
+still drew scalar values: a single divergent draw would cascade into a
+fingerprint mismatch within one quantum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Raw words fetched per refill.  Big enough to amortise the numpy
-#: call, small enough that a short run does not over-draw (the unused
-#: tail of a block is simply discarded with the generator).
-BLOCK = 1024
+#: Values fetched per refill.  Every simulated thread holds two such
+#: buffers of Python numbers until its run finishes (``finalize``
+#: releases them), so the block is small: a 64-word refill costs ~4 µs
+#: (~0.06 µs a word, against ~1 µs for one scalar numpy call), while
+#: 1024 grew a 24-thread run's peak memory by about 10%.  Block size
+#: never changes the stream.
+BLOCK = 64
 
 _U32_MASK = 0xFFFFFFFF
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -41,17 +46,27 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 1.0 / (1 << 53)
 
 
+def _rewind(rng: np.random.Generator, words: int) -> None:
+    """Step ``rng`` back over ``words`` fetched but unread 64-bit words."""
+    if words:
+        # PCG64 advances modulo 2**128, so a negative step goes back
+        rng.bit_generator.advance(-words)
+
+
 class BufferedPCG64:
     """Bit-exact buffered façade over one ``numpy.random.Generator``.
 
     The wrapped generator must not be used directly once buffering
-    starts — the buffer *is* its stream position, pre-fetched.
+    starts — the buffer *is* its stream position, pre-fetched — until
+    :meth:`release` rewinds it to that position.
     """
 
-    __slots__ = ("_rng", "_buf", "_i", "_n", "_has32", "_half", "_block")
+    __slots__ = ("_rng", "_raw", "_buf", "_i", "_n", "_has32", "_half",
+                 "_block")
 
     def __init__(self, rng: np.random.Generator, block: int = BLOCK):
         self._rng = rng
+        self._raw = rng.bit_generator.random_raw
         self._block = block
         self._buf = ()
         self._i = 0
@@ -61,11 +76,19 @@ class BufferedPCG64:
         self._half = 0
 
     def _refill(self) -> None:
-        self._buf = self._rng.integers(
-            0, 1 << 64, size=self._block, dtype=np.uint64
-        ).tolist()
+        self._buf = self._raw(self._block).tolist()
         self._i = 0
         self._n = len(self._buf)
+
+    def release(self) -> None:
+        """Drop the unread words, rewinding the generator over them.
+
+        The stream is unchanged: the next draw refills from exactly
+        where the buffer stopped (a banked half-word stays banked).
+        """
+        _rewind(self._rng, self._n - self._i)
+        self._buf = ()
+        self._i = self._n = 0
 
     # -- raw words ------------------------------------------------------
 
@@ -171,3 +194,10 @@ class BufferedUniform:
             self._n = self._block
         self._i = i + 1
         return self._buf[i]
+
+    def release(self) -> None:
+        """Drop the unread draws, rewinding the generator over them
+        (each ``uniform`` double consumes one 64-bit word)."""
+        _rewind(self._rng, self._n - self._i)
+        self._buf = ()
+        self._i = self._n = 0

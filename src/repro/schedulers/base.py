@@ -71,6 +71,11 @@ class Scheduler:
             self.register_metrics(metrics)
         self.on_attach()
 
+    def detach(self) -> None:
+        """Unbind from a finished run; ``System.finish_run`` calls this
+        so that the system and its scheduler do not form a cycle."""
+        self.system = None
+
     def on_attach(self) -> None:
         """Hook for subclass initialisation after ``system`` is set."""
 

@@ -11,6 +11,7 @@ to a per-cycle loop while running orders of magnitude faster.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,7 +131,6 @@ class System:
         # so registration is init-only and per-event cost is zero);
         # tracer/sampler are bound only when a Telemetry bundle is
         # passed, leaving one is-None branch per emit site otherwise.
-        self.telemetry = telemetry
         if telemetry is not None:
             telemetry.bind(self)
         self.metrics: MetricsRegistry = (
@@ -187,10 +187,13 @@ class System:
         for thread in self.threads:
             thread.register_metrics(registry)
         self.monitor.register_metrics(registry)
-        registry.register("sim.now", lambda: self.now)
-        registry.register("sim.quanta", lambda: self.quantum_count)
+        # weak, so the registry (which the system owns) does not close
+        # a reference cycle through the system: see finish_run
+        ref = weakref.ref(self)
+        registry.register("sim.now", lambda: ref().now)
+        registry.register("sim.quanta", lambda: ref().quantum_count)
         registry.register("scheduler.decisions",
-                          lambda: self.sched_decisions)
+                          lambda: ref().sched_decisions)
 
     def _push_sample(self, time: int) -> None:
         """Queue an epoch-sampler tick sorting after all peers at ``time``."""
@@ -221,8 +224,9 @@ class System:
         if wheel is not None:
             wheel.push(time, kind, payload, aux)
             return
-        self._seq += 1
-        heapq.heappush(self._events, (time, self._seq, kind, payload, aux))
+        seq = self._seq + 1
+        self._seq = seq
+        heapq.heappush(self._events, (time, seq, kind, payload, aux))
 
     def schedule_timer(self, time: int, key: str) -> None:
         """Schedulers use this to receive ``on_timer`` callbacks."""
@@ -234,8 +238,9 @@ class System:
 
     def _issue_miss(self, tid: int) -> None:
         """The thread's compute gate fired: issue its next miss if possible."""
+        now = self.now
         thread = self.threads[tid]
-        location = thread.try_issue(self.now)
+        location = thread.try_issue(now)
         if location is None:
             # Window full: the retry happens at the next completion.
             return
@@ -267,23 +272,19 @@ class System:
                 channel_id, bank_id, row,
             )
         request = MemoryRequest(
-            thread_id=tid,
-            channel_id=channel_id,
-            bank_id=bank_id,
-            row=row,
-            arrival=self.now,
-            episode_id=thread.issued,
+            tid, channel_id, bank_id, row, now, thread.issued
         )
         self.channels[channel_id].enqueue(request)
         if self._spans is not None:
-            self._spans.on_arrival(request, self.now)
-        self.monitor.on_request_arrival(request, self.now)
-        self.scheduler.on_request_arrival(request, self.now)
+            self._spans.on_arrival(request, now)
+        self.monitor.on_request_arrival(request, now)
+        self.scheduler.on_request_arrival(request, now)
         if self._explain is not None:
-            self._explain.on_arrival(request, self.now)
+            self._explain.on_arrival(request, now)
+        config = self.config
         if (
-            self.config.model_writes
-            and self._wb_rng.random() < self.config.writeback_ratio
+            config.model_writes
+            and self._wb_rng.random() < config.writeback_ratio
         ):
             # the miss evicts a dirty line: buffer its writeback (same
             # bank as the fill; the evicted line's row is unrelated)
@@ -291,13 +292,13 @@ class System:
                 thread_id=tid,
                 channel_id=channel_id,
                 bank_id=bank_id,
-                row=int(self._wb_rng.integers(self.config.num_rows)),
-                arrival=self.now,
+                row=int(self._wb_rng.integers(config.num_rows)),
+                arrival=now,
                 is_write=True,
             )
             self.channels[channel_id].enqueue_write(writeback)
         self._try_schedule(channel_id, bank_id)
-        self._push(self.now + thread.issue_gap(), _EV_ISSUE, tid)
+        self._push(now + thread.issue_gap(), _EV_ISSUE, tid)
 
     def _inject_prefetches(self, tid: int, locations) -> None:
         """Enqueue prefetch requests emitted by a thread's prefetcher."""
@@ -319,81 +320,84 @@ class System:
             self._try_schedule(p_channel, p_bank)
 
     def _try_schedule(self, channel_id: int, bank_id: int) -> None:
+        now = self.now
         channel = self.channels[channel_id]
-        bank = channel.banks[bank_id]
-        if not bank.is_idle(self.now):
+        if not channel.banks[bank_id].is_idle(now):
             return
-        if not channel.queues[bank_id]:
+        queue = channel.queues[bank_id]
+        if not queue:
             # reads first (paper Table 3); drain a write when the bank
             # would otherwise idle
             if self.config.model_writes:
                 write = channel.next_write_for(bank_id)
                 if write is not None:
-                    access = channel.start_write_service(write, self.now)
+                    access = channel.start_write_service(write, now)
                     if self._spans is not None:
-                        self._spans.on_write_scheduled(write, access, self.now)
+                        self._spans.on_write_scheduled(write, access, now)
                     if self._tracer is not None:
                         self._tracer.emit(
-                            "dram_cmd", self.now,
+                            "dram_cmd", now,
                             ch=channel_id, bank=bank_id, row=write.row,
                             tid=write.thread_id, kind=access.kind,
-                            start=self.now, end=access.data_end, write=True,
+                            start=now, end=access.data_end, write=True,
                         )
                     self._push(
                         access.data_end, _EV_BANK_FREE, channel_id, bank_id
                     )
             return
-        queued = len(channel.queues[bank_id])
-        request = self.scheduler.select(channel, bank_id, self.now)
-        if self._explain is not None:
+        queued = len(queue)
+        request = self.scheduler.select(channel, bank_id, now)
+        explain = self._explain
+        if explain is not None:
             # before start_service: the candidate queue is still intact
-            self._explain.on_decision(channel, bank_id, request, self.now)
-        access, completion = channel.start_service(request, self.now)
-        busy_cycles = access.data_end - self.now
+            explain.on_decision(channel, bank_id, request, now)
+        access, completion = channel.start_service(request, now)
+        data_end = access.data_end
+        busy_cycles = data_end - now
         self.sched_decisions += 1
         if self._probe is not None:
             self._probe.on_decision(
-                self.now, channel_id, bank_id, request, queued, access
+                now, channel_id, bank_id, request, queued, access
             )
-        if self._tracer is not None:
-            self._tracer.emit(
-                "sched_decision", self.now,
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit(
+                "sched_decision", now,
                 ch=channel_id, bank=bank_id, tid=request.thread_id,
                 queued=queued, row_hit=access.is_row_hit,
             )
-            self._tracer.emit(
-                "dram_cmd", self.now,
+            tracer.emit(
+                "dram_cmd", now,
                 ch=channel_id, bank=bank_id, row=request.row,
                 tid=request.thread_id, kind=access.kind,
-                start=self.now, end=access.data_end,
+                start=now, end=data_end,
             )
         self.monitor.on_request_service(request, busy_cycles)
         if self._spans is not None:
             self._spans.on_scheduled(
-                request, channel.queues[bank_id], access, completion, self.now
+                request, queue, access, completion, now
             )
-        self.scheduler.on_request_scheduled(
-            request, channel.queues[bank_id], busy_cycles, self.now
-        )
-        if self._explain is not None:
-            self._explain.on_grant(
-                request, channel.queues[bank_id], busy_cycles, self.now
-            )
-        self._push(access.data_end, _EV_BANK_FREE, channel_id, bank_id)
-        self._push(completion, _EV_DONE, request)
+        self.scheduler.on_request_scheduled(request, queue, busy_cycles, now)
+        if explain is not None:
+            explain.on_grant(request, queue, busy_cycles, now)
+        push = self._push
+        push(data_end, _EV_BANK_FREE, channel_id, bank_id)
+        push(completion, _EV_DONE, request)
 
     def _complete_request(self, request: MemoryRequest) -> None:
         tid = request.thread_id
+        now = self.now
         if self._spans is not None:
             # before the scheduler's hook, so a policy reading the shared
             # accounting (STFM's re-evaluation) sees this request included
-            self._spans.on_complete(request, self.now)
+            self._spans.on_complete(request, now)
+        explain = self._explain
         if request.is_prefetch:
             # prefetch fills go to the prefetch buffer, waking any
             # demand misses that merged with this prefetch
-            self.scheduler.on_request_complete(request, self.now)
-            if self._explain is not None:
-                self._explain.on_complete(request, self.now)
+            self.scheduler.on_request_complete(request, now)
+            if explain is not None:
+                explain.on_complete(request, now)
             if self.prefetchers is not None:
                 woken = self.prefetchers[tid].fill(
                     (request.channel_id, request.bank_id, request.row)
@@ -402,11 +406,11 @@ class System:
                     if self.threads[tid].on_request_completed(issue_id):
                         self._issue_miss(tid)
             return
-        self.monitor.on_request_complete(request, self.now)
-        self.scheduler.on_request_complete(request, self.now)
-        if self._explain is not None:
-            self._explain.on_complete(request, self.now)
-        self._latency_sum[tid] += self.now - request.arrival
+        self.monitor.on_request_complete(request, now)
+        self.scheduler.on_request_complete(request, now)
+        if explain is not None:
+            explain.on_complete(request, now)
+        self._latency_sum[tid] += now - request.arrival
         self._latency_count[tid] += 1
         if self.threads[tid].on_request_completed(request.episode_id):
             # The window was stalled on this completion; the next miss's
@@ -488,19 +492,26 @@ class System:
             # system; the wheel's push counter is its equivalent
             self._seq = self._wheel._seq
         else:
+            # Seams are bound once per call, so per-instance wrappers
+            # installed before this window (oracle, profiler, fault
+            # injection) fire on every event of it.
             events = self._events
+            heappop = heapq.heappop
             probe = self._probe
+            issue_miss = self._issue_miss
+            try_schedule = self._try_schedule
+            complete_request = self._complete_request
             while events and events[0][0] <= limit:
-                time, _seq, kind, payload, aux = heapq.heappop(events)
+                time, _seq, kind, payload, aux = heappop(events)
                 self.now = time
                 if probe is not None:
                     probe.on_event(time, kind, payload, aux)
                 if kind == _EV_ISSUE:
-                    self._issue_miss(payload)
+                    issue_miss(payload)
                 elif kind == _EV_BANK_FREE:
-                    self._try_schedule(payload, aux)
+                    try_schedule(payload, aux)
                 elif kind == _EV_DONE:
-                    self._complete_request(payload)
+                    complete_request(payload)
                 elif kind == _EV_QUANTUM:
                     self._quantum_boundary()
                 elif kind == _EV_TIMER:
@@ -512,7 +523,7 @@ class System:
                         self.scheduler.on_timer(self.now, payload)
                 elif kind == _EV_PHIT:
                     if self.threads[payload].on_request_completed(aux):
-                        self._issue_miss(payload)
+                        issue_miss(payload)
                 elif kind == _EV_SAMPLE:
                     self._take_sample()
 
@@ -528,7 +539,11 @@ class System:
 
         Last stage of :meth:`run`; call exactly once, after the final
         :meth:`advance` — finalization flushes residual instruction
-        credit into the stats, so it is not idempotent.
+        credit into the stats, so it is not idempotent.  It also
+        detaches the scheduler, whose back-reference was the last
+        reference cycle through the system: a finished system is freed
+        as soon as its caller lets go, not at the next full garbage
+        collection (a campaign would otherwise hold several dead ones).
         """
         from repro.sim.results import RunResult, ThreadResult
 
@@ -566,7 +581,7 @@ class System:
                 requests=sum(ch.serviced_requests for ch in self.channels),
                 row_hits=row_hits,
             )
-        return RunResult(
+        result = RunResult(
             scheduler=self.scheduler.name,
             workload=self.workload.name,
             cycles=horizon,
@@ -578,3 +593,5 @@ class System:
             quantum_count=self.quantum_count,
             ipc_timeline=tuple(self.ipc_timeline),
         )
+        self.scheduler.detach()
+        return result

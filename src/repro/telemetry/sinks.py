@@ -58,6 +58,11 @@ class MemorySink(Sink):
         self.events.append(event)
 
 
+#: ``json.dumps(obj, separators=(",", ":"))`` without building a new
+#: encoder on every call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class JsonlSink(Sink):
     """Append events to a JSONL file, one compact object per line."""
 
@@ -66,7 +71,7 @@ class JsonlSink(Sink):
         self._file = _open_creating_dirs(path)
 
     def write(self, event: dict) -> None:
-        self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._file.write(_compact_json(event) + "\n")
 
     def close(self) -> None:
         if self._file is not None:

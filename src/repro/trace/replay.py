@@ -81,6 +81,9 @@ class _ReplayAddressSource:
         self._index = (self._index + 1) % len(self._events)
         return event.channel, event.bank, event.row
 
+    def release(self) -> None:
+        """Nothing is pre-drawn: the recorded events are the stream."""
+
 
 class ReplayThread(ThreadModel):
     """A thread whose misses follow a recorded trace.

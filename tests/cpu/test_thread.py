@@ -188,3 +188,31 @@ class TestStreamIdentity:
         locs_a = [a.try_issue(0) for _ in range(8)]
         locs_b = [b.try_issue(0) for _ in range(8)]
         assert locs_a != locs_b
+
+
+class TestFinishedRunReleasesRng:
+    """A finished run drops its threads' pre-drawn random numbers
+    without moving any stream: the RNG snapshot is the same before and
+    after ``finish_run``, and the buffers are empty."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_buffers_released_streams_kept(self, backend):
+        from repro import System, make_scheduler
+        from repro.diverge.probe import snapshot_rng
+        from repro.workloads import make_intensity_workload
+
+        workload = make_intensity_workload(1.0, num_threads=4, seed=3)
+        config = SimConfig(run_cycles=5_000, backend=backend)
+        system = System(workload, make_scheduler("tcm"), config, seed=3)
+        system.start_run()
+        system.advance(config.run_cycles)
+        before = snapshot_rng(system)
+        system.finish_run(config.run_cycles)
+        assert snapshot_rng(system) == before
+        for thread in system.threads:
+            stream = thread._addr._rng
+            assert stream._buf == () and stream._i == stream._n == 0
+        if system._batch is None:
+            assert all(t._jitter._buf == () for t in system.threads)
+        else:
+            assert all(j._buf == () for j in system._batch.jitter)

@@ -63,6 +63,43 @@ class TestService:
         # second burst cannot overlap the first on the shared data bus
         assert a1.data_start >= a0.data_end
 
+    def test_start_service_dequeues_by_identity(self, channel):
+        twin = MemoryRequest(thread_id=0, channel_id=0, bank_id=0, row=1,
+                             arrival=0, request_id=-1)
+        request = MemoryRequest(thread_id=0, channel_id=0, bank_id=0, row=1,
+                                arrival=0, request_id=-1)
+        assert twin == request  # field-wise equal, distinct objects
+        channel.enqueue(twin)
+        channel.enqueue(request)
+        channel.start_service(request, now=0)
+        assert channel.queues[0] == [twin]
+        assert channel.queues[0][0] is twin
+
+    def test_start_service_rejects_an_unqueued_request(self, channel):
+        with pytest.raises(ValueError):
+            channel.start_service(make_request(), now=0)
+
+    def test_a_run_never_compares_requests(self, monkeypatch):
+        """The engine dequeues by identity: no field-wise ``__eq__``."""
+        from repro.schedulers import make_scheduler
+        from repro.sim import System
+        from repro.workloads.mixes import make_intensity_workload
+
+        calls = []
+        original = MemoryRequest.__dict__["__eq__"]
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(MemoryRequest, "__eq__", counted)
+        config = SimConfig(num_threads=8, run_cycles=40_000,
+                           quantum_cycles=10_000)
+        workload = make_intensity_workload(1.0, num_threads=8, seed=2)
+        result = System(workload, make_scheduler("tcm"), config).run()
+        assert result.total_requests > 100
+        assert calls == []
+
     def test_row_hit_possible(self, channel):
         r0 = make_request(row=7)
         channel.enqueue(r0)

@@ -118,3 +118,33 @@ def test_block_size_does_not_change_stream():
                           block=4096)
     for _ in range(1000):
         assert small.random() == large.random()
+
+
+@pytest.mark.parametrize("consumed", [0, 1, 5, 64, 97])
+def test_release_keeps_the_stream(consumed):
+    """``release`` rewinds over the unread words: later draws continue
+    the scalar stream, a banked half-word included (odd ``consumed``
+    leaves one banked by the 32-bit ``integers`` path)."""
+    buffered = BufferedPCG64(np.random.Generator(np.random.PCG64(11)),
+                             block=64)
+    scalar = np.random.Generator(np.random.PCG64(11))
+    for _ in range(consumed):
+        assert buffered.integers(1000) == int(scalar.integers(1000))
+    buffered.release()
+    assert buffered._buf == () and buffered._i == buffered._n == 0
+    for _ in range(3 * 64):
+        assert buffered.integers(1000) == int(scalar.integers(1000))
+        assert buffered.random() == scalar.random()
+
+
+@pytest.mark.parametrize("consumed", [0, 1, 40, 64])
+def test_buffered_uniform_release_keeps_the_stream(consumed):
+    rng = np.random.Generator(np.random.PCG64(17))
+    jitter = BufferedUniform(np.random.Generator(np.random.PCG64(17)),
+                             0.9, 1.1, block=64)
+    for _ in range(consumed):
+        assert jitter.next() == rng.uniform(0.9, 1.1)
+    jitter.release()
+    assert jitter._buf == ()
+    for _ in range(3 * 64):
+        assert jitter.next() == rng.uniform(0.9, 1.1)

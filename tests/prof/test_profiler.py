@@ -121,7 +121,15 @@ class TestReport:
         _, report = profiled
         slowest = report.slowest(limit=5)
         assert len(slowest) == 5
-        assert slowest[0].inclusive_s >= slowest[-1].inclusive_s
+        # slowest() ranks by self time, not inclusive time
+        selfs = report.self_times()
+        ranked = [selfs[node.path] for node in slowest]
+        assert ranked == sorted(ranked, reverse=True)
+        assert ranked[-1] >= max(
+            (s for path, s in selfs.items()
+             if path not in {node.path for node in slowest}),
+            default=0.0,
+        )
         text = report.format_text()
         assert "component" in text
         assert "engine" in text and "scheduler" in text

@@ -158,3 +158,35 @@ class TestTimers:
 
         System(small_workload(), TimerScheduler(), CFG, seed=0).run(cycles=5_000)
         assert fired == [(1_000, "tick")]
+
+
+class TestFinishedSystemIsFreed:
+    """A finished system is in no reference cycle: it is freed as soon
+    as the last outside reference goes, without a garbage collection
+    (a campaign would otherwise hold several dead systems at once)."""
+
+    @pytest.mark.parametrize("sched", ["frfcfs", "stfm", "parbs", "atlas", "tcm"])
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_freed_without_gc(self, sched, traced, tmp_path):
+        import gc
+        import weakref
+
+        from repro.telemetry import Telemetry
+
+        telemetry = (Telemetry.tracing(jsonl_path=tmp_path / "t.jsonl")
+                     if traced else None)
+        system = System(small_workload(), make_scheduler(sched), CFG,
+                        seed=0, telemetry=telemetry)
+        gc.disable()
+        try:
+            system.run(cycles=20_000)
+            ref = weakref.ref(system)
+            del system
+            if telemetry is not None:
+                # the bundle keeps its last system for summary()
+                assert telemetry.summary()["requests"] > 0
+                telemetry.close()
+                del telemetry
+            assert ref() is None
+        finally:
+            gc.enable()

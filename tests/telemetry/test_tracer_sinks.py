@@ -9,6 +9,7 @@ from repro.telemetry import (
     MemorySink,
     PerfettoSink,
     SchemaError,
+    Sink,
     Tracer,
     events_to_perfetto,
     jsonl_to_perfetto,
@@ -143,3 +144,50 @@ class TestPerfetto:
         out = tmp_path / "a.json"
         jsonl_to_perfetto(jsonl, out)
         assert json.loads(out.read_text()) == from_mem
+
+
+class _DumpsSink(Sink):
+    """Each event as ``json.dumps`` renders it at the moment of writing."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, event):
+        self.lines.append(json.dumps(event, separators=(",", ":")))
+
+
+class TestJsonlBytes:
+    """``JsonlSink`` writes exactly ``json.dumps(event, separators=...)``."""
+
+    def test_traced_tcm_run_is_byte_identical(self, tmp_path):
+        from repro.config import SimConfig
+        from repro.schedulers import make_scheduler
+        from repro.sim import System
+        from repro.telemetry import Telemetry
+        from repro.workloads.mixes import make_intensity_workload
+
+        path = tmp_path / "run.jsonl"
+        reference = _DumpsSink()
+        telemetry = Telemetry.tracing(jsonl_path=path)
+        telemetry.tracer.add_sink(reference)
+        workload = make_intensity_workload(1.0, num_threads=4, seed=1)
+        config = SimConfig(num_threads=4, run_cycles=30_000,
+                           quantum_cycles=10_000)
+        System(workload, make_scheduler("tcm"), config,
+               telemetry=telemetry).run()
+        telemetry.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(reference.lines) > 100
+        assert lines == reference.lines
+
+    def test_non_ascii_floats_and_none(self, tmp_path):
+        path = tmp_path / "odd.jsonl"
+        event = {"ev": "run_begin", "ts": 0, "workload": "mix-ü—✓",
+                 "scheduler": None, "ipc": [0.1, 1e-300, 2.5e16, -0.0],
+                 "nested": {"ratio": 1 / 3, "name": "naïve"}}
+        sink = JsonlSink(path)
+        sink.write(event)
+        sink.close()
+        assert path.read_bytes() == (
+            json.dumps(event, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
