@@ -15,6 +15,10 @@ Three checks, in increasing strictness:
   perturbs simulation behaviour fails here regardless of machine.
 * **Determinism** (always) — a fully traced run produces bit-identical
   ``RunResult`` data to the untraced run.
+* **Tracing cost** (recorded only) — CPU time of a run with a JSONL
+  tracer attached, as a traced campaign point runs, over the same run
+  untraced, as ``extra_info["traced_over_untraced"]``.  Timing never
+  passes or fails a test, so the ratio is never asserted.
 * **Speed** (recorded always, asserted under ``REPRO_BENCH_STRICT=1``
   on the baseline's machine fingerprint) — wall-clock of the disabled
   run against the baseline's timing.  The hard assert is opt-in
@@ -102,6 +106,36 @@ def test_oracle_does_not_change_results():
     untouched = _system()
     assert untouched._tracer is None
     assert "select" not in vars(untouched.scheduler)
+
+
+def _traced_cpu_s(path):
+    """CPU seconds of one run, JSONL-traced when ``path`` is given."""
+    telemetry = Telemetry.tracing(jsonl_path=path) if path else None
+    system = _system(telemetry)
+    t0 = time.process_time()
+    result = system.run()
+    if telemetry is not None:
+        telemetry.close()
+    return time.process_time() - t0, result
+
+
+def test_traced_over_untraced(benchmark, tmp_path):
+    """Records what an attached JSONL tracer costs; asserts no timing.
+
+    Best of 5 interleaved runs each side, in process CPU time.
+    """
+    path = tmp_path / "run.jsonl"
+    untraced, traced = [], []
+    for _ in range(5):
+        cpu_s, plain = _traced_cpu_s(None)
+        untraced.append(cpu_s)
+        cpu_s, result = _traced_cpu_s(path)
+        traced.append(cpu_s)
+        assert _result_fingerprint(result) == _result_fingerprint(plain)
+    benchmark.extra_info["untraced_cpu_s"] = min(untraced)
+    benchmark.extra_info["traced_cpu_s"] = min(traced)
+    benchmark.extra_info["traced_over_untraced"] = min(traced) / min(untraced)
+    benchmark.pedantic(lambda: _traced_cpu_s(path), rounds=1, iterations=1)
 
 
 def test_disabled_overhead_vs_baseline(benchmark):

@@ -293,7 +293,9 @@ class Profiler:
             self._wrap(thread, "finalize", "cpu.finalize")
         # observability layers, when this run carries them
         if system._tracer is not None:
+            # a read grant bypasses emit: count it as trace cost too
             self._wrap(system._tracer, "emit", "telemetry.emit")
+            self._wrap(system._tracer, "emit_grant", "telemetry.emit")
         if system._sampler is not None:
             self._wrap(system._sampler, "sample", "telemetry.sample")
         if system._spans is not None:

@@ -359,18 +359,10 @@ class System:
             self._probe.on_decision(
                 now, channel_id, bank_id, request, queued, access
             )
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.emit(
-                "sched_decision", now,
-                ch=channel_id, bank=bank_id, tid=request.thread_id,
-                queued=queued, row_hit=access.is_row_hit,
-            )
-            tracer.emit(
-                "dram_cmd", now,
-                ch=channel_id, bank=bank_id, row=request.row,
-                tid=request.thread_id, kind=access.kind,
-                start=now, end=data_end,
+        if self._tracer is not None:
+            self._tracer.emit_grant(
+                now, channel_id, bank_id, request.thread_id, queued,
+                access.kind, request.row, data_end,
             )
         self.monitor.on_request_service(request, busy_cycles)
         if self._spans is not None:

@@ -44,6 +44,21 @@ class Sink:
     def write(self, event: dict) -> None:
         raise NotImplementedError
 
+    def write_grant(self, ts: int, ch: int, bank: int, tid: int,
+                    queued: int, kind: str, row: int, end: int) -> None:
+        """Receive one read grant (see :meth:`Tracer.emit_grant`).
+
+        The default writes the two event dicts :meth:`Tracer.emit`
+        would build, so a sink that only implements :meth:`write` sees
+        no difference.
+        """
+        self.write({"ev": "sched_decision", "ts": ts, "ch": ch,
+                    "bank": bank, "tid": tid, "queued": queued,
+                    "row_hit": kind == "hit"})
+        self.write({"ev": "dram_cmd", "ts": ts, "ch": ch, "bank": bank,
+                    "row": row, "tid": tid, "kind": kind, "start": ts,
+                    "end": end})
+
     def close(self) -> None:
         """Flush and release resources (idempotent)."""
 
@@ -62,6 +77,18 @@ class MemorySink(Sink):
 #: encoder on every call.
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
+#: One read grant's two lines, byte-identical to ``_compact_json`` of
+#: the dicts :meth:`Sink.write_grant` builds.  Valid because every
+#: number at the grant site is a plain ``int`` (``%d`` renders it as
+#: JSON does) and ``kind`` is ``hit``/``closed``/``conflict``, which
+#: needs no escaping; the bool is passed as ``true``/``false``.
+_GRANT_LINES = (
+    '{"ev":"sched_decision","ts":%d,"ch":%d,"bank":%d,"tid":%d,'
+    '"queued":%d,"row_hit":%s}\n'
+    '{"ev":"dram_cmd","ts":%d,"ch":%d,"bank":%d,"row":%d,"tid":%d,'
+    '"kind":"%s","start":%d,"end":%d}\n'
+)
+
 
 class JsonlSink(Sink):
     """Append events to a JSONL file, one compact object per line."""
@@ -72,6 +99,14 @@ class JsonlSink(Sink):
 
     def write(self, event: dict) -> None:
         self._file.write(_compact_json(event) + "\n")
+
+    def write_grant(self, ts: int, ch: int, bank: int, tid: int,
+                    queued: int, kind: str, row: int, end: int) -> None:
+        self._file.write(_GRANT_LINES % (
+            ts, ch, bank, tid, queued,
+            "true" if kind == "hit" else "false",
+            ts, ch, bank, row, tid, kind, ts, end,
+        ))
 
     def close(self) -> None:
         if self._file is not None:

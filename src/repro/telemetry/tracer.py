@@ -3,8 +3,12 @@
 The tracer is designed so a *disabled* tracer costs exactly one branch
 at each emit site: the system binds ``self._tracer`` to ``None`` when
 tracing is off and the hot path does ``if tr is not None: tr.emit(...)``.
-An *enabled* tracer builds one dict per event and hands it to every
-sink; events are validated against the schema only when ``validate=True``
+An *enabled* tracer hands every event to each sink.  A read grant, the
+bulk of a traced run, is one positional :meth:`Tracer.emit_grant` call
+that reaches each sink's :meth:`~repro.telemetry.sinks.Sink.write_grant`
+without building a dict (``JsonlSink`` formats both lines from one
+template); every other event is one dict built by :meth:`Tracer.emit`.
+Events are validated against the schema only when ``validate=True``
 (tests and CI), not on the production path.
 """
 
@@ -42,6 +46,24 @@ class Tracer:
         self.events_emitted += 1
         for sink in self.sinks:
             sink.write(event)
+
+    def emit_grant(self, ts: int, ch: int, bank: int, tid: int,
+                   queued: int, kind: str, row: int, end: int) -> None:
+        """Record one read grant: a ``sched_decision`` and its ``dram_cmd``.
+
+        Equivalent to ``emit("sched_decision", ...)`` followed by
+        ``emit("dram_cmd", ...)``, with ``row_hit = kind == "hit"`` and
+        ``start = ts``; sinks receive it through ``Sink.write_grant``.
+        """
+        if self.validate:
+            self.emit("sched_decision", ts, ch=ch, bank=bank, tid=tid,
+                      queued=queued, row_hit=kind == "hit")
+            self.emit("dram_cmd", ts, ch=ch, bank=bank, row=row, tid=tid,
+                      kind=kind, start=ts, end=end)
+            return
+        self.events_emitted += 2
+        for sink in self.sinks:
+            sink.write_grant(ts, ch, bank, tid, queued, kind, row, end)
 
     def close(self) -> None:
         for sink in self.sinks:

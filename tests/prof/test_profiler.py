@@ -144,6 +144,19 @@ class TestAttachedLayers:
         report = profiler.detach()
         assert "telemetry" in report.component_shares()
 
+    def test_grant_tracing_is_attributed(self, tmp_path):
+        """A read grant's trace write counts under ``telemetry.emit``."""
+        telemetry = Telemetry.tracing(jsonl_path=tmp_path / "run.jsonl")
+        system = _system(telemetry=telemetry)
+        profiler = attach_profiler(system)
+        system.run()
+        report = profiler.detach()
+        telemetry.close()
+        emit_calls = sum(node.calls for path, node in report.nodes.items()
+                         if path[-1] == "telemetry.emit")
+        assert emit_calls >= system.sched_decisions > 0
+        assert report.component_times()["telemetry"] > 0
+
     def test_profile_run_accepts_telemetry(self):
         result, report = profile_run(
             _workload(), "tcm", SimConfig(run_cycles=CYCLES), seed=0,

@@ -70,6 +70,13 @@ class TestTracer:
             tracer.emit("dram_cmd", 0, ch=0, bank=0, row=0, tid=0,
                         kind="open", start=0, end=4)
 
+    @pytest.mark.parametrize("kind, end", [("open", 14), ("hit", 9)],
+                             ids=["bad-kind", "end-before-start"])
+    def test_validation_rejects_bad_grant(self, kind, end):
+        tracer = memory_tracer(validate=True)
+        with pytest.raises(SchemaError):
+            tracer.emit_grant(10, 0, 1, 0, 2, kind, 7, end)
+
 
 class TestJsonlRoundTrip:
     def test_jsonl_write_validate_convert(self, tmp_path):
@@ -156,25 +163,37 @@ class _DumpsSink(Sink):
         self.lines.append(json.dumps(event, separators=(",", ":")))
 
 
+def _traced_run(telemetry, scheduler="tcm", **config_fields):
+    """A short 4-thread run of an all-intensive mix with ``telemetry``."""
+    from repro.config import SimConfig
+    from repro.schedulers import make_scheduler
+    from repro.sim import System
+    from repro.workloads.mixes import make_intensity_workload
+
+    workload = make_intensity_workload(1.0, num_threads=4, seed=1)
+    config = SimConfig(num_threads=4, run_cycles=30_000,
+                       quantum_cycles=10_000, **config_fields)
+    return System(workload, make_scheduler(scheduler), config,
+                  telemetry=telemetry).run()
+
+
 class TestJsonlBytes:
     """``JsonlSink`` writes exactly ``json.dumps(event, separators=...)``."""
 
-    def test_traced_tcm_run_is_byte_identical(self, tmp_path):
-        from repro.config import SimConfig
-        from repro.schedulers import make_scheduler
-        from repro.sim import System
+    @pytest.mark.parametrize("scheduler, config_fields", [
+        ("tcm", {}),
+        ("tcm", {"model_writes": True}),
+        ("parbs", {}),
+    ], ids=["tcm", "tcm-writes", "parbs"])
+    def test_traced_tcm_run_is_byte_identical(self, tmp_path, scheduler,
+                                              config_fields):
         from repro.telemetry import Telemetry
-        from repro.workloads.mixes import make_intensity_workload
 
         path = tmp_path / "run.jsonl"
         reference = _DumpsSink()
         telemetry = Telemetry.tracing(jsonl_path=path)
         telemetry.tracer.add_sink(reference)
-        workload = make_intensity_workload(1.0, num_threads=4, seed=1)
-        config = SimConfig(num_threads=4, run_cycles=30_000,
-                           quantum_cycles=10_000)
-        System(workload, make_scheduler("tcm"), config,
-               telemetry=telemetry).run()
+        _traced_run(telemetry, scheduler, **config_fields)
         telemetry.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(reference.lines) > 100
@@ -191,3 +210,31 @@ class TestJsonlBytes:
         assert path.read_bytes() == (
             json.dumps(event, separators=(",", ":")) + "\n"
         ).encode("utf-8")
+
+
+class TestGrantFanOut:
+    """A read grant reaches every sink as the two events ``emit`` builds."""
+
+    def test_sinks_agree_on_a_traced_run(self, tmp_path):
+        from repro.telemetry import Telemetry
+
+        path = tmp_path / "run.jsonl"
+        memory = MemorySink()
+        telemetry = Telemetry.tracing(jsonl_path=path,
+                                      perfetto_path=tmp_path / "run.json")
+        telemetry.tracer.add_sink(memory)
+        traced = _traced_run(telemetry)
+        telemetry.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert memory.events == [json.loads(line) for line in lines]
+        assert telemetry.tracer.events_emitted == len(lines)
+        doc = json.loads((tmp_path / "run.json").read_text())
+        slices = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+        assert len(slices) == sum(e["ev"] == "dram_cmd" for e in memory.events)
+
+        # the validating tracer takes the two-emit path: same events,
+        # same key order, same simulated outcome
+        checked = Telemetry.in_memory(validate=True)
+        assert _traced_run(checked) == traced
+        assert ([list(e.items()) for e in checked.events]
+                == [list(e.items()) for e in memory.events])
